@@ -170,55 +170,82 @@ pub fn cluster_constrained(
         })
         .collect();
 
+    // Each sweep is a Jacobi step: every cell is judged against the
+    // membership snapshot taken at the start of the sweep. A cell's
+    // decision depends only on its signature row and its own current
+    // assignment (which decides whether it must exclude itself from a
+    // cluster), so the sweep runs over distinct rows with multiplicities:
+    // each (row, assignment) pair is decided once and the decision is
+    // reused by every cell that shares it.
+    const UNDECIDED: u8 = u8::MAX;
+    let n_rows = signatures.n_distinct();
+    let mut counts: [Vec<u32>; 3] = std::array::from_fn(|_| vec![0; n_rows]);
+    let mut decisions: Vec<u8> = vec![UNDECIDED; 3 * n_rows];
     let mut iterations = 0;
     for _ in 0..config.max_iters {
         iterations += 1;
-        let pos_members: Vec<usize> = (0..n).filter(|&i| assign[i] == POS).collect();
-        let neg_members: Vec<usize> = (0..n).filter(|&i| assign[i] == NEG).collect();
-        let unk_members: Vec<usize> = (0..n).filter(|&i| assign[i] == UNK).collect();
-        let mut changed = false;
-        for i in 0..n {
-            if fixed[i] {
-                continue;
-            }
-            // NoNegatives: once a cell joins the positive cluster it stays —
-            // the only alternative cluster is the shrinking unassigned pool.
-            if config.mode == ClusterMode::NoNegatives && assign[i] == POS {
-                continue;
-            }
-            let d_pos = signatures.linkage(i, &pos_members);
-            let new_assign = if use_negative_cluster {
-                let d_neg = if neg_members.is_empty() {
-                    // No negative seeds (e.g. a single example): compare
-                    // against the unassigned pool instead, like NoNegatives.
-                    signatures.linkage(i, &unk_members)
-                } else {
-                    signatures.linkage(i, &neg_members)
-                };
+        for c in &mut counts {
+            c.fill(0);
+        }
+        for (i, &a) in assign.iter().enumerate() {
+            counts[a as usize][signatures.row_id(i)] += 1;
+        }
+        // Per cluster, its distinct member rows with their member counts.
+        let members: [Vec<(usize, u32)>; 3] = std::array::from_fn(|c| {
+            let rows = counts[c].iter().enumerate();
+            rows.filter(|&(_, &k)| k > 0)
+                .map(|(r, &k)| (r, k))
+                .collect()
+        });
+        let no_neg_members = members[NEG as usize].is_empty();
+        let decide = |row: usize, current: u8| -> u8 {
+            let linkage = |c: u8| signatures.linkage(row, &members[c as usize], current == c);
+            let d_pos = linkage(POS);
+            if use_negative_cluster {
+                // No negative seeds (e.g. a single example): compare
+                // against the unassigned pool instead, like NoNegatives.
+                let d_neg = linkage(if no_neg_members { UNK } else { NEG });
                 match (d_pos, d_neg) {
                     (Some(dp), Some(dn)) if dp < dn => POS,
                     (Some(_), Some(_)) => {
-                        if neg_members.is_empty() {
+                        if no_neg_members {
                             UNK
                         } else {
                             NEG
                         }
                     }
                     (Some(_), None) => POS,
-                    _ => assign[i],
+                    _ => current,
                 }
             } else {
                 // NoNegatives: join positive when strictly closer to the
                 // positive cluster than to the remaining unassigned pool.
-                let d_unk = signatures.linkage(i, &unk_members);
-                match (d_pos, d_unk) {
+                match (d_pos, linkage(UNK)) {
                     (Some(dp), Some(du)) if dp < du => POS,
                     (Some(_), None) => POS,
-                    _ => assign[i],
+                    _ => current,
                 }
-            };
-            if new_assign != assign[i] {
-                assign[i] = new_assign;
+            }
+        };
+        decisions.fill(UNDECIDED);
+        let mut changed = false;
+        for i in 0..n {
+            if fixed[i] {
+                continue;
+            }
+            let current = assign[i];
+            // NoNegatives: once a cell joins the positive cluster it stays —
+            // the only alternative cluster is the shrinking unassigned pool.
+            if config.mode == ClusterMode::NoNegatives && current == POS {
+                continue;
+            }
+            let row = signatures.row_id(i);
+            let slot = &mut decisions[3 * row + current as usize];
+            if *slot == UNDECIDED {
+                *slot = decide(row, current);
+            }
+            if *slot != current {
+                assign[i] = *slot;
                 changed = true;
             }
         }

@@ -13,10 +13,12 @@
 //!   weighted twice as heavily as unlabeled ones.
 //!
 //! The loop itself is inherently sequential — each iteration's candidate
-//! set depends on the previous root removal — so its parallelism lives one
-//! layer down: `DecisionTree::fit` fans per-feature split gains across
-//! `cornet-pool` and `predict_all` chunks its sample walks, both with
-//! submission-order collection, keeping enumeration output bit-identical
+//! set depends on the previous root removal. Its cost lives one layer
+//! down, in `DecisionTree::fit`: the weights below are small integers, so
+//! every split's class sums come from popcounts over the node's weight
+//! groups rather than a walk over its samples, with the same bits. Only
+//! very long columns fan out (`predict_all` chunks its sample walks with
+//! submission-order collection), keeping enumeration output bit-identical
 //! at every thread count (`parallel_differential` pins this).
 
 use crate::cluster::ClusterOutcome;

@@ -5,7 +5,7 @@ use crate::cluster::{cluster_constrained, ClusterConfig};
 use crate::enumerate::{enumerate_rules, EnumConfig};
 use crate::features::rule_features_constrained;
 use crate::fullsearch::{full_search, FullSearchConfig};
-use crate::predgen::{generate_predicates, infer_type, GenConfig};
+use crate::predgen::{generate_predicates, infer_type, GenConfig, PredicateSet};
 use crate::rank::{score_descending, RankContext, Ranker, ScoredRule, SymbolicRanker};
 use crate::ruleset::{RuleSet, StyledRule};
 use crate::signature::CellSignatures;
@@ -67,6 +67,15 @@ fn learn_metrics() -> &'static LearnMetrics {
             rank: stage("rank"),
         }
     })
+}
+
+/// A column's predicates and cell signatures. Both depend on the cells
+/// alone, so the learns of one rule set share them: each is built by the
+/// first learn that needs it.
+#[derive(Default)]
+struct ColumnSpace {
+    predicates: Option<PredicateSet>,
+    signatures: Option<CellSignatures>,
 }
 
 /// Which candidate generator to run.
@@ -323,7 +332,7 @@ impl<R: Ranker> Cornet<R> {
         cells: &[CellValue],
         observed: &[usize],
     ) -> Result<LearnOutcome, LearnError> {
-        self.learn_impl(cells, observed, &[], true)
+        self.learn_impl(cells, observed, &[], true, &mut ColumnSpace::default())
     }
 
     /// Learns a formatting rule under the spec's hard constraints: every
@@ -337,7 +346,8 @@ impl<R: Ranker> Cornet<R> {
     /// proved no rule in the language (within the configured bounds)
     /// satisfies the spec.
     pub fn learn_spec(&self, spec: &LearnSpec) -> Result<LearnOutcome, LearnError> {
-        self.learn_impl(&spec.cells, &spec.positives, &spec.negatives, true)
+        let (cells, column) = (&spec.cells, &mut ColumnSpace::default());
+        self.learn_impl(cells, &spec.positives, &spec.negatives, true, column)
     }
 
     /// Best-effort fallback for an unsatisfiable spec: the search runs
@@ -349,8 +359,8 @@ impl<R: Ranker> Cornet<R> {
     /// first. `cornet-serve` serves this (flagged `consistent:false`)
     /// when [`Cornet::learn_spec`] abstains.
     pub fn learn_spec_relaxed(&self, spec: &LearnSpec) -> Result<LearnOutcome, LearnError> {
-        learn_metrics().relaxed.inc();
-        self.learn_impl(&spec.cells, &spec.positives, &spec.negatives, false)
+        let (cells, column) = (&spec.cells, &mut ColumnSpace::default());
+        self.learn_relaxed(cells, &spec.positives, &spec.negatives, column)
     }
 
     /// Learns one disjoint styled rule per format class from a single
@@ -359,8 +369,8 @@ impl<R: Ranker> Cornet<R> {
     /// Each class k runs the constrained pipeline *one-vs-rest*: its own
     /// positives are the examples, and the union of every other class's
     /// positives with the spec's global negatives are hard negatives. The
-    /// per-class searches are therefore plain [`Cornet::learn_spec`]
-    /// calls — with a single class and no negatives the outcome is
+    /// per-class searches are therefore [`Cornet::learn_spec`] searches
+    /// — with a single class and no negatives the outcome is
     /// bit-identical to [`Cornet::learn_spec`] (and, transitively, to the
     /// historical `learn`), which `tests/ruleset_differential.rs` pins.
     ///
@@ -368,6 +378,9 @@ impl<R: Ranker> Cornet<R> {
     /// k unsatisfiable, the class falls back to the relaxed search
     /// ([`Cornet::learn_spec_relaxed`]) and its rule is flagged
     /// `consistent: false`; the other classes are unaffected.
+    ///
+    /// Predicates and cell signatures depend on the cells alone, so they
+    /// are generated once and shared by every class's search.
     ///
     /// The returned rules carry `priority = class index`, so
     /// [`RuleSet::apply`]'s lowest-priority-wins order resolves overlaps
@@ -388,6 +401,7 @@ impl<R: Ranker> Cornet<R> {
             }
         }
 
+        let mut column = ColumnSpace::default();
         let mut format_table = FormatTable::new();
         let mut rules = Vec::with_capacity(spec.classes.len());
         let mut class_stats = Vec::with_capacity(spec.classes.len());
@@ -400,16 +414,16 @@ impl<R: Ranker> Cornet<R> {
             }
             rest.sort_unstable();
             rest.dedup();
-            let class_spec = LearnSpec {
-                cells: spec.cells.clone(),
-                positives: class.positives.clone(),
-                negatives: rest,
-            };
-            let (outcome, consistent) = match self.learn_spec(&class_spec) {
-                Ok(outcome) => (outcome, true),
-                Err(LearnError::NoConsistentRule) => (self.learn_spec_relaxed(&class_spec)?, false),
-                Err(e) => return Err(e),
-            };
+            let (cells, positives) = (&spec.cells, &class.positives);
+            let (outcome, consistent) =
+                match self.learn_impl(cells, positives, &rest, true, &mut column) {
+                    Ok(outcome) => (outcome, true),
+                    Err(LearnError::NoConsistentRule) => (
+                        self.learn_relaxed(cells, positives, &rest, &mut column)?,
+                        false,
+                    ),
+                    Err(e) => return Err(e),
+                };
             let best = outcome.best();
             let mut rule = best.rule.clone();
             rule.format = format_table.intern(class.style.clone());
@@ -435,12 +449,27 @@ impl<R: Ranker> Cornet<R> {
         })
     }
 
+    fn learn_relaxed(
+        &self,
+        cells: &[CellValue],
+        positives: &[usize],
+        negatives: &[usize],
+        column: &mut ColumnSpace,
+    ) -> Result<LearnOutcome, LearnError> {
+        learn_metrics().relaxed.inc();
+        self.learn_impl(cells, positives, negatives, false, column)
+    }
+
+    /// One learn over `cells`; `column` supplies the predicates and
+    /// signatures when an earlier learn over the same cells built them, and
+    /// keeps them when this learn builds them.
     fn learn_impl(
         &self,
         cells: &[CellValue],
         positives: &[usize],
         negatives: &[usize],
         enforce: bool,
+        column: &mut ColumnSpace,
     ) -> Result<LearnOutcome, LearnError> {
         if positives.is_empty() {
             return Err(LearnError::NoExamples);
@@ -458,9 +487,14 @@ impl<R: Ranker> Cornet<R> {
         let metrics = learn_metrics();
 
         // 1. Predicate generation (§3.1).
-        let timer = StageTimer::start("learn.predgen", metrics.predgen.clone());
-        let predicates = generate_predicates(cells, &self.config.gen);
-        drop(timer);
+        let ColumnSpace {
+            predicates,
+            signatures,
+        } = column;
+        let predicates = &*predicates.get_or_insert_with(|| {
+            let _timer = StageTimer::start("learn.predgen", metrics.predgen.clone());
+            generate_predicates(cells, &self.config.gen)
+        });
         if predicates.is_empty() {
             return Err(LearnError::NoPredicates);
         }
@@ -471,10 +505,11 @@ impl<R: Ranker> Cornet<R> {
         // exactly the unconstrained learner's and only the *ranking* sees
         // the corrections (via the mask below).
         let timer = StageTimer::start("learn.cluster", metrics.cluster.clone());
-        let signatures = CellSignatures::from_predicates(&predicates);
+        let signatures =
+            signatures.get_or_insert_with(|| CellSignatures::from_predicates(predicates));
         let search_negatives: &[usize] = if enforce { negatives } else { &[] };
         let outcome = cluster_constrained(
-            &signatures,
+            signatures,
             positives,
             search_negatives,
             &self.config.cluster,
@@ -489,11 +524,11 @@ impl<R: Ranker> Cornet<R> {
         let candidates = match self.config.strategy {
             SearchStrategy::Greedy => {
                 let _timer = StageTimer::start("learn.enumerate", metrics.enumerate.clone());
-                enumerate_rules(&predicates, &outcome, &self.config.enumeration)
+                enumerate_rules(predicates, &outcome, &self.config.enumeration)
             }
             SearchStrategy::Exhaustive => {
                 let _timer = StageTimer::start("learn.fullsearch", metrics.fullsearch.clone());
-                full_search(&predicates, &outcome, &self.config.full_search)
+                full_search(predicates, &outcome, &self.config.full_search)
             }
         };
         if candidates.is_empty() {

@@ -93,12 +93,30 @@ impl DecisionTree {
     ) -> DecisionTree {
         assert_eq!(labels.len(), features.n_samples());
         assert_eq!(weights.len(), features.n_samples());
+        let groups = WeightGroups::new(labels, weights, config.positive_class_weight);
+        Self::fit_with(
+            features, labels, weights, allowed, config, tie_break, groups,
+        )
+    }
+
+    /// [`Self::fit`] with the split-sum strategy made explicit: popcounts
+    /// over `groups` when given, the per-sample loop otherwise.
+    fn fit_with(
+        features: &FeatureMatrix,
+        labels: &BitVec,
+        weights: &[f64],
+        allowed: &[usize],
+        config: &TreeConfig,
+        tie_break: Option<&dyn Fn(&[usize]) -> usize>,
+        groups: Option<WeightGroups>,
+    ) -> DecisionTree {
         let mut builder = Builder {
             features,
             labels,
             weights,
             config,
             tie_break,
+            groups,
             nodes: Vec::new(),
             decision_nodes: 0,
         };
@@ -131,43 +149,21 @@ impl DecisionTree {
         }
     }
 
-    /// Predicts classes for every sample in a feature matrix. Per-sample
-    /// walks are independent boolean computations, so chunking them across
-    /// `cornet-pool` is trivially thread-count invariant (submission-order
-    /// collection; no float accumulation involved).
+    /// Predicts classes for every sample in a feature matrix, one walk per
+    /// sample on the calling thread.
     pub fn predict_all(&self, features: &FeatureMatrix) -> BitVec {
         let n = features.n_samples();
         let mut out = BitVec::zeros(n);
-        if n < PAR_PREDICT_MIN {
-            for s in 0..n {
-                if self.predict_with(|f| features.get(f, s)) {
-                    out.set(s, true);
-                }
-            }
-            return out;
-        }
-        let chunk = n.div_ceil(cornet_pool::current_threads().max(1)).max(1);
-        let chunks = cornet_pool::par_chunk_map(n, chunk, |range| {
-            range
-                .map(|s| self.predict_with(|f| features.get(f, s)))
-                .collect::<Vec<bool>>()
-        });
-        let mut s = 0;
-        for chunk in chunks {
-            for p in chunk {
-                if p {
-                    out.set(s, true);
-                }
-                s += 1;
+        for s in 0..n {
+            if self.predict_with(|f| features.get(f, s)) {
+                out.set(s, true);
             }
         }
         out
     }
 
-    /// Weighted accuracy of the tree's predictions against labels. The
-    /// predictions come from the (parallel) [`Self::predict_all`]; the f64
-    /// accumulation below stays serial so the sum order — and thus the
-    /// result's bits — never depends on the thread count.
+    /// Weighted accuracy of the tree's predictions against labels, summed
+    /// serially in sample order.
     pub fn weighted_accuracy(
         &self,
         features: &FeatureMatrix,
@@ -263,6 +259,9 @@ struct Builder<'a> {
     weights: &'a [f64],
     config: &'a TreeConfig,
     tie_break: Option<&'a dyn Fn(&[usize]) -> usize>,
+    /// Present when split sums can be taken from popcounts (see
+    /// [`WeightGroups`]).
+    groups: Option<WeightGroups>,
     nodes: Vec<Node>,
     decision_nodes: usize,
 }
@@ -346,13 +345,19 @@ impl Builder<'_> {
     /// `min_samples_leaf` and the tie-break hook. Returns `None` when no
     /// valid split improves impurity.
     ///
-    /// Per-feature gains are independent, so they fan out over
-    /// `cornet-pool` (via [`feature_gain`], which captures only `Sync`
-    /// state — the `&dyn Fn` tie-break hook cannot cross threads). The
-    /// epsilon/tie selection is order-dependent and replays **serially**
-    /// over the gains in `allowed` order, which `par_map`'s
-    /// submission-order collection guarantees — so the chosen feature is
-    /// identical to the historical all-serial loop at every thread count.
+    /// Each feature's right-child sums come from popcounts over the node's
+    /// weight groups when the weights allow it ([`WeightGroups`]), and from
+    /// a per-sample loop otherwise; both yield the same bits. The popcount
+    /// path is a few words per feature and stays on the calling thread:
+    /// fanning it out cost more in thread start-up than it saved.
+    ///
+    /// Per-sample gains are independent, so large ones fan out over
+    /// `cornet-pool` (the closure captures only `Sync` state — the `&dyn
+    /// Fn` tie-break hook cannot cross threads). The epsilon/tie selection
+    /// is order-dependent and replays **serially** over the gains in
+    /// `allowed` order, which `par_map`'s submission-order collection
+    /// guarantees — so the chosen feature is identical to the historical
+    /// all-serial loop at every thread count.
     fn best_split(
         &self,
         samples: &[usize],
@@ -360,30 +365,41 @@ impl Builder<'_> {
         pos: f64,
         neg: f64,
     ) -> Option<usize> {
-        let total = pos + neg;
-        let parent_gini = gini(pos, neg);
-        let (features, labels, weights) = (self.features, self.labels, self.weights);
-        let pcw = self.config.positive_class_weight;
-        let msl = self.config.min_samples_leaf;
-        let compute = |f: usize| {
-            feature_gain(
-                features,
-                labels,
-                weights,
-                pcw,
-                msl,
-                samples,
-                pos,
-                neg,
-                parent_gini,
-                total,
-                f,
-            )
+        let parent = ParentSums {
+            n_samples: samples.len(),
+            pos,
+            neg,
+            min_samples_leaf: self.config.min_samples_leaf,
         };
-        let gains: Vec<Option<f64>> = if allowed.len() * samples.len() >= PAR_SPLIT_MIN_WORK {
-            cornet_pool::par_map(allowed.len(), |i| compute(allowed[i]))
-        } else {
-            allowed.iter().map(|&f| compute(f)).collect()
+        let gains: Vec<Option<f64>> = match &self.groups {
+            Some(groups) => {
+                let node = groups.restrict(BitVec::from_indices(self.labels.len(), samples));
+                // A feature whose right child breaks the leaf minimum (e.g.
+                // one constant on the node) needs no class sums at all.
+                let gain = |f: usize| {
+                    let feature = self.features.feature(f);
+                    let count_r = feature.and_count(&node.node);
+                    parent.admits(count_r).then(|| {
+                        let (pos_r, neg_r) = node.right_sums(feature);
+                        parent.gain(pos_r, neg_r)
+                    })
+                };
+                allowed.iter().map(|&f| gain(f)).collect()
+            }
+            None => {
+                let (features, labels, weights) = (self.features, self.labels, self.weights);
+                let pcw = self.config.positive_class_weight;
+                let compute = |f: usize| {
+                    let (count_r, pos_r, neg_r) =
+                        per_sample_right_sums(features, labels, weights, pcw, samples, f);
+                    parent.admits(count_r).then(|| parent.gain(pos_r, neg_r))
+                };
+                if allowed.len() * samples.len() >= PAR_SPLIT_MIN_WORK {
+                    cornet_pool::par_map(allowed.len(), |i| compute(allowed[i]))
+                } else {
+                    allowed.iter().map(|&f| compute(f)).collect()
+                }
+            }
         };
         // Zero-gain splits are allowed (as in sklearn): XOR-shaped labels
         // have no impurity-reducing split at the root yet become separable
@@ -413,33 +429,125 @@ impl Builder<'_> {
     }
 }
 
-/// Below this `allowed × samples` product a split evaluation stays on the
-/// calling thread — fan-out overhead would swamp the arithmetic.
+/// Below this `allowed × samples` product a per-sample split evaluation
+/// stays on the calling thread — fan-out overhead would swamp the
+/// arithmetic.
 const PAR_SPLIT_MIN_WORK: usize = 4096;
 
-/// Minimum sample count before [`DecisionTree::predict_all`] fans out.
-const PAR_PREDICT_MIN: usize = 256;
+/// The largest effective sample weight the popcount path accepts. With
+/// every weight an integer in `0..=MAX_GROUP_WEIGHT`, each running f64 sum
+/// of weights is an integer below `samples × 2²⁰`, far under 2⁵³, so it is
+/// exact whatever the order of the additions.
+const MAX_GROUP_WEIGHT: f64 = (1u64 << 20) as f64;
 
-/// Weighted-Gini gain of splitting `samples` on feature `f` — the body of
-/// [`Builder::best_split`]'s per-feature loop as a free function over
-/// `Sync` state only, so it can run on pool workers. Returns `None` when a
-/// child would fall under `min_samples_leaf`. Each gain is a pure function
-/// of its own feature column (serial f64 accumulation in sample order), so
-/// evaluation order across features cannot change any value.
-#[allow(clippy::too_many_arguments)]
-fn feature_gain(
+/// Samples partitioned by class and *effective* weight — `weights[s] ×
+/// positive_class_weight` for positives, `weights[s]` for negatives, the
+/// same products the per-sample loop adds up.
+///
+/// When every effective weight is a small non-negative integer, the
+/// per-sample loop's f64 sums are exact integers, so a child's weighted
+/// class sum equals `Σ weight × popcount(feature ∧ node ∧ group)` bit for
+/// bit. Enumeration's weights (1, and 2 for labelled cells) qualify; the
+/// baselines' fractional weights do not and keep the per-sample loop. Each
+/// group costs one popcount pass per feature, and enumeration makes at most
+/// four.
+struct WeightGroups {
+    groups: Vec<WeightGroup>,
+}
+
+struct WeightGroup {
+    weight: u64,
+    positive: bool,
+    samples: BitVec,
+}
+
+impl WeightGroups {
+    /// `None` unless every effective weight is an integer in
+    /// `0..=`[`MAX_GROUP_WEIGHT`]. Zero-weight samples join no group: they
+    /// add nothing to any sum.
+    fn new(labels: &BitVec, weights: &[f64], positive_class_weight: f64) -> Option<WeightGroups> {
+        let n = labels.len();
+        let mut groups: Vec<WeightGroup> = Vec::new();
+        for (s, &w) in weights.iter().enumerate() {
+            let positive = labels.get(s);
+            let w = if positive {
+                w * positive_class_weight
+            } else {
+                w
+            };
+            // NaN fails the range test.
+            if !((0.0..=MAX_GROUP_WEIGHT).contains(&w) && w.fract() == 0.0) {
+                return None;
+            }
+            let weight = w as u64;
+            if weight == 0 {
+                continue;
+            }
+            let at = groups
+                .iter()
+                .position(|g| g.weight == weight && g.positive == positive);
+            let at = at.unwrap_or_else(|| {
+                groups.push(WeightGroup {
+                    weight,
+                    positive,
+                    samples: BitVec::zeros(n),
+                });
+                groups.len() - 1
+            });
+            groups[at].samples.set(s, true);
+        }
+        Some(WeightGroups { groups })
+    }
+
+    /// The groups restricted to one node's samples.
+    fn restrict(&self, node: BitVec) -> NodeGroups {
+        let groups = self
+            .groups
+            .iter()
+            .map(|g| {
+                let mut samples = g.samples.clone();
+                samples.and_assign(&node);
+                WeightGroup { samples, ..*g }
+            })
+            .collect();
+        NodeGroups { node, groups }
+    }
+}
+
+/// One node's samples and its weight groups.
+struct NodeGroups {
+    node: BitVec,
+    groups: Vec<WeightGroup>,
+}
+
+impl NodeGroups {
+    /// Weighted class sums of the node's samples on which `feature` holds
+    /// (the right child), from popcounts alone.
+    fn right_sums(&self, feature: &BitVec) -> (f64, f64) {
+        let (mut pos_r, mut neg_r) = (0u64, 0u64);
+        for g in &self.groups {
+            let sum = g.weight * feature.and_count(&g.samples) as u64;
+            if g.positive {
+                pos_r += sum;
+            } else {
+                neg_r += sum;
+            }
+        }
+        (pos_r as f64, neg_r as f64)
+    }
+}
+
+/// Sample count and weighted class sums of the node's samples on which
+/// feature `f` holds, added up sample by sample in sample order — the path
+/// for weights [`WeightGroups`] rejects.
+fn per_sample_right_sums(
     features: &FeatureMatrix,
     labels: &BitVec,
     weights: &[f64],
     positive_class_weight: f64,
-    min_samples_leaf: usize,
     samples: &[usize],
-    pos: f64,
-    neg: f64,
-    parent_gini: f64,
-    total: f64,
     f: usize,
-) -> Option<f64> {
+) -> (usize, f64, f64) {
     let mut pos_r = 0.0;
     let mut neg_r = 0.0;
     let mut count_r = 0usize;
@@ -453,14 +561,35 @@ fn feature_gain(
             }
         }
     }
-    let count_l = samples.len() - count_r;
-    if count_l < min_samples_leaf || count_r < min_samples_leaf {
-        return None;
+    (count_r, pos_r, neg_r)
+}
+
+/// The node-level quantities a split's gain is measured against.
+struct ParentSums {
+    n_samples: usize,
+    pos: f64,
+    neg: f64,
+    min_samples_leaf: usize,
+}
+
+impl ParentSums {
+    /// True when a right child of `count_r` samples leaves both children
+    /// at or above `min_samples_leaf`.
+    fn admits(&self, count_r: usize) -> bool {
+        let count_l = self.n_samples - count_r;
+        count_l >= self.min_samples_leaf && count_r >= self.min_samples_leaf
     }
-    let (pos_l, neg_l) = (pos - pos_r, neg - neg_r);
-    let (w_l, w_r) = (pos_l + neg_l, pos_r + neg_r);
-    let child = (w_l * gini(pos_l, neg_l) + w_r * gini(pos_r, neg_r)) / total;
-    Some(parent_gini - child)
+
+    /// Weighted-Gini gain of the split whose right child has class sums
+    /// `pos_r`/`neg_r`.
+    fn gain(&self, pos_r: f64, neg_r: f64) -> f64 {
+        let (pos, neg) = (self.pos, self.neg);
+        let total = pos + neg;
+        let (pos_l, neg_l) = (pos - pos_r, neg - neg_r);
+        let (w_l, w_r) = (pos_l + neg_l, pos_r + neg_r);
+        let child = (w_l * gini(pos_l, neg_l) + w_r * gini(pos_r, neg_r)) / total;
+        gini(pos, neg) - child
+    }
 }
 
 fn gini(pos: f64, neg: f64) -> f64 {
@@ -682,5 +811,107 @@ mod tests {
         };
         let t = DecisionTree::fit(&m, &labels, &uniform_weights(4), &[0], &config, None);
         assert_eq!(t.root_feature(), None); // split would isolate 1 sample
+    }
+
+    /// A seeded xorshift stream of bits, so the tests below need no rand.
+    fn bit_stream(seed: u64) -> impl FnMut(u64) -> bool {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move |one_in: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.is_multiple_of(one_in)
+        }
+    }
+
+    /// Random features (with duplicated columns), labels and weights over
+    /// `n` samples; `labelled` picks the weight of every third sample.
+    fn random_problem(seed: u64, n: usize, labelled: f64) -> (FeatureMatrix, BitVec, Vec<f64>) {
+        let mut bit = bit_stream(seed);
+        let mut cols: Vec<BitVec> = (0..12).map(|_| (0..n).map(|_| bit(3)).collect()).collect();
+        cols.extend(cols[..4].to_vec());
+        let labels: BitVec = (0..n).map(|_| bit(2)).collect();
+        let weights = (0..n)
+            .map(|s| if s % 3 == 0 { labelled } else { 1.0 })
+            .collect();
+        (FeatureMatrix::new(n, cols), labels, weights)
+    }
+
+    #[test]
+    fn popcount_and_per_sample_gains_are_bitwise_equal() {
+        for seed in 0..8 {
+            let n = 70 + 37 * seed as usize;
+            let (m, labels, weights) = random_problem(seed, n, 2.0);
+            for pcw in [1.0, 5.0] {
+                let groups = WeightGroups::new(&labels, &weights, pcw).expect("integer weights");
+                let mut bit = bit_stream(seed + 100);
+                for keep in [1, 2, 5] {
+                    let samples: Vec<usize> = (0..n).filter(|_| bit(keep)).collect();
+                    let node = groups.restrict(BitVec::from_indices(n, &samples));
+                    let (mut pos, mut neg) = (0.0, 0.0);
+                    for &s in &samples {
+                        if labels.get(s) {
+                            pos += weights[s] * pcw;
+                        } else {
+                            neg += weights[s];
+                        }
+                    }
+                    let parent = ParentSums {
+                        n_samples: samples.len(),
+                        pos,
+                        neg,
+                        min_samples_leaf: 1,
+                    };
+                    for f in 0..m.n_features() {
+                        let (count_r, pos_r, neg_r) =
+                            per_sample_right_sums(&m, &labels, &weights, pcw, &samples, f);
+                        let (pc_pos, pc_neg) = node.right_sums(m.feature(f));
+                        assert_eq!(m.feature(f).and_count(&node.node), count_r);
+                        assert_eq!(pc_pos.to_bits(), pos_r.to_bits(), "seed {seed} f {f}");
+                        assert_eq!(pc_neg.to_bits(), neg_r.to_bits(), "seed {seed} f {f}");
+                        assert_eq!(
+                            parent.gain(pc_pos, pc_neg).to_bits(),
+                            parent.gain(pos_r, neg_r).to_bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn popcount_fit_equals_per_sample_fit() {
+        for seed in 0..8 {
+            let n = 90 + 53 * seed as usize;
+            let (m, labels, weights) = random_problem(seed, n, 2.0);
+            let allowed: Vec<usize> = (0..m.n_features()).collect();
+            for pcw in [1.0, 5.0] {
+                let config = TreeConfig {
+                    positive_class_weight: pcw,
+                    min_samples_leaf: 1 + seed as usize % 3,
+                    ..TreeConfig::default()
+                };
+                let fast = DecisionTree::fit(&m, &labels, &weights, &allowed, &config, None);
+                let slow =
+                    DecisionTree::fit_with(&m, &labels, &weights, &allowed, &config, None, None);
+                assert_eq!(fast.nodes, slow.nodes, "seed {seed}, class weight {pcw}");
+                assert!(fast.decision_node_count() > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn fractional_or_invalid_weights_take_the_per_sample_path() {
+        let (_, labels, weights) = random_problem(3, 64, 0.1);
+        assert!(WeightGroups::new(&labels, &weights, 1.0).is_none());
+        let ones = vec![1.0; 64];
+        assert!(WeightGroups::new(&labels, &ones, 1.0).is_some());
+        // The positive-class multiplier counts: 1 × 0.5 is fractional.
+        assert!(WeightGroups::new(&labels, &ones, 0.5).is_none());
+        for bad in [f64::NAN, -1.0, f64::INFINITY, 2.0 * MAX_GROUP_WEIGHT] {
+            let mut w = ones.clone();
+            w[7] = bad;
+            assert!(WeightGroups::new(&labels, &w, 1.0).is_none(), "{bad}");
+        }
     }
 }

@@ -311,8 +311,9 @@ fn flatten<T>(per_chunk: Vec<Vec<T>>, size_hint: usize) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Condvar;
     use std::thread::ThreadId;
     use std::time::Duration;
 
@@ -378,10 +379,27 @@ mod tests {
         // the even chunks; chunk 0 sleeps long enough that worker 1 drains
         // everything else, so some even chunk must run on a different
         // thread than chunk 0 — i.e. it was stolen.
+        //
+        // Start rendezvous: each thread's first chunk waits (bounded) until
+        // both workers have entered. Otherwise worker 1 could finish chunk
+        // 1 and steal every even chunk, chunk 0 included, before worker 0
+        // is ever scheduled — leaving no sibling to steal from the sleeper.
         with_threads(2, || {
             let seen: Mutex<HashMap<usize, ThreadId>> = Mutex::new(HashMap::new());
+            let entered: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+            let both_entered = Condvar::new();
             par_chunk_map(16, 1, |range| {
                 let c = range.start;
+                let mut threads = entered.lock().unwrap();
+                if threads.insert(std::thread::current().id()) {
+                    both_entered.notify_all();
+                    let timeout = Duration::from_secs(10);
+                    let _ = both_entered
+                        .wait_timeout_while(threads, timeout, |t| t.len() < 2)
+                        .unwrap();
+                } else {
+                    drop(threads);
+                }
                 if c == 0 {
                     std::thread::sleep(Duration::from_millis(60));
                 }
