@@ -20,6 +20,7 @@
 //! (10 versus 10.5)" (Table 7 discussion).
 
 use cornet_table::Date;
+use std::collections::HashSet;
 
 /// Tunable bounds for constant generation. These are engineering bounds —
 /// the paper enumerates unboundedly and relies on small real columns; the
@@ -134,14 +135,12 @@ pub fn between_pairs(constants: &[f64], config: &ConstantConfig) -> Vec<(f64, f6
 /// tokens → delimiter tokens. Deduplicated case-insensitively, capped.
 pub fn text_constants(values: &[&str], config: &ConstantConfig) -> Vec<String> {
     let mut out: Vec<String> = Vec::new();
-    let mut seen: Vec<String> = Vec::new();
+    let mut seen: HashSet<String> = HashSet::new();
     let mut push = |s: &str| {
         if s.is_empty() || out.len() >= config.max_text_constants {
             return;
         }
-        let key = s.to_lowercase();
-        if !seen.contains(&key) {
-            seen.push(key);
+        if seen.insert(s.to_lowercase()) {
             out.push(s.to_string());
         }
     };
@@ -339,6 +338,75 @@ mod tests {
                 .filter(|c| c.eq_ignore_ascii_case("pass"))
                 .count(),
             1
+        );
+    }
+
+    /// The linear-scan dedup `text_constants` used before its set: a
+    /// `Vec` of lowercased keys searched with `contains`.
+    fn linear_scan_text_constants(values: &[&str], config: &ConstantConfig) -> Vec<String> {
+        let mut out: Vec<String> = Vec::new();
+        let mut seen: Vec<String> = Vec::new();
+        let mut push = |s: &str| {
+            if s.is_empty() || out.len() >= config.max_text_constants {
+                return;
+            }
+            let key = s.to_lowercase();
+            if !seen.contains(&key) {
+                seen.push(key);
+                out.push(s.to_string());
+            }
+        };
+        for v in values {
+            push(v.trim());
+        }
+        for prefix in prefix_tokens(values, config.min_prefix_len, config.min_prefix_support) {
+            push(&prefix);
+        }
+        for v in values {
+            for token in split_tokens(v) {
+                push(token);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn text_constants_keep_linear_scan_order() {
+        // Case variants of whole values, of prefixes and of tokens, with
+        // the first spelling of each winning; Unicode case folds included.
+        let values = [
+            "RW-187",
+            "rw-187",
+            "Rw-159",
+            "RS-762",
+            "ABC",
+            "abc",
+            "Abc",
+            " abc ",
+            "ΟΔΟΣ",
+            "οδος",
+            "İstanbul",
+            "istanbul",
+            "TW-224-T",
+            "tw-224-t",
+            "x-T",
+            "",
+        ];
+        let config = ConstantConfig::default();
+        let expected = linear_scan_text_constants(&values, &config);
+        assert_eq!(text_constants(&values, &config), expected);
+        assert!(
+            expected.iter().any(|c| c == "rw-1"),
+            "prefix tokens reached"
+        );
+        // A cap that binds partway through the token source.
+        let capped = ConstantConfig {
+            max_text_constants: expected.len() - 3,
+            ..ConstantConfig::default()
+        };
+        assert_eq!(
+            text_constants(&values, &capped),
+            linear_scan_text_constants(&values, &capped)
         );
     }
 

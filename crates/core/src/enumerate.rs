@@ -16,16 +16,16 @@
 //! set depends on the previous root removal. Its cost lives one layer
 //! down, in `DecisionTree::fit`: the weights below are small integers, so
 //! every split's class sums come from popcounts over the node's weight
-//! groups rather than a walk over its samples, with the same bits. Only
-//! very long columns fan out (`predict_all` chunks its sample walks with
-//! submission-order collection), keeping enumeration output bit-identical
-//! at every thread count (`parallel_differential` pins this).
+//! groups rather than a walk over its samples, with the same bits. That
+//! path runs on the calling thread, so enumeration output is the same at
+//! every thread count (`parallel_differential` pins this).
 
 use crate::cluster::ClusterOutcome;
 use crate::predgen::PredicateSet;
 use crate::rule::{Conjunct, Rule, RuleLiteral};
 use cornet_dtree::{DecisionTree, FeatureMatrix, TreeConfig};
 use cornet_table::BitVec;
+use std::collections::HashSet;
 
 /// Enumeration hyper-parameters (paper defaults in parentheses).
 #[derive(Debug, Clone)]
@@ -109,7 +109,7 @@ pub fn enumerate_rules(
 
     let mut allowed: Vec<usize> = (0..reps.len()).collect();
     let mut candidates: Vec<Candidate> = Vec::new();
-    let mut seen: Vec<String> = Vec::new();
+    let mut seen: HashSet<String> = HashSet::new();
 
     while !allowed.is_empty() && candidates.len() < config.max_rules {
         let tree = DecisionTree::fit(&features, labels, &weights, &allowed, &tree_config, None);
@@ -123,9 +123,7 @@ pub fn enumerate_rules(
         if satisfies_hard_constraints(&tree, &features, outcome) {
             let rule = tree_to_rule(&tree, predicates);
             if !rule.condition.is_empty() {
-                let key = rule.canonical().to_string();
-                if !seen.contains(&key) {
-                    seen.push(key);
+                if seen.insert(rule.canonical().to_string()) {
                     candidates.push(Candidate {
                         rule,
                         cluster_accuracy: accuracy,
@@ -153,9 +151,7 @@ pub fn enumerate_rules(
             if acc < config.lambda_acc {
                 continue;
             }
-            let key = shallow.canonical().to_string();
-            if !seen.contains(&key) && candidates.len() < config.max_rules {
-                seen.push(key);
+            if candidates.len() < config.max_rules && seen.insert(shallow.canonical().to_string()) {
                 candidates.push(Candidate {
                     rule: shallow,
                     cluster_accuracy: acc,

@@ -8,6 +8,7 @@ use crate::constants::{
 };
 use crate::predicate::{CmpOp, DatePart, Predicate, TextOp};
 use cornet_table::{BitVec, CellValue, DataType};
+use std::collections::{HashMap, HashSet};
 
 /// Configuration for predicate generation.
 #[derive(Debug, Clone, Default)]
@@ -92,20 +93,20 @@ pub fn infer_type(cells: &[CellValue]) -> Option<DataType> {
 /// for the column's majority type only — "to avoid type errors, all
 /// predicates are assigned a type and they only match cells of their type".
 pub fn generate_predicates(cells: &[CellValue], config: &GenConfig) -> PredicateSet {
-    let Some(dtype) = infer_type(cells) else {
-        return PredicateSet {
-            predicates: Vec::new(),
-            signatures: Vec::new(),
-            n_cells: cells.len(),
-            representatives: Vec::new(),
-        };
-    };
-    let candidates: Vec<Predicate> = match dtype {
-        DataType::Number => numeric_candidates(cells, &config.constants),
-        DataType::Text => text_candidates(cells, &config.constants),
-        DataType::Date => date_candidates(cells, &config.constants),
-    };
+    let candidates = candidate_predicates(cells, &config.constants);
     filter_and_dedup(cells, candidates, config.max_predicates)
+}
+
+/// Every template instantiation for the column's majority type, in
+/// generation (preference) order, before the proper-subset filter and
+/// signature dedup. Empty for a column with no non-empty cell.
+pub fn candidate_predicates(cells: &[CellValue], config: &ConstantConfig) -> Vec<Predicate> {
+    match infer_type(cells) {
+        None => Vec::new(),
+        Some(DataType::Number) => numeric_candidates(cells, config),
+        Some(DataType::Text) => text_candidates(cells, config),
+        Some(DataType::Date) => date_candidates(cells, config),
+    }
 }
 
 fn numeric_candidates(cells: &[CellValue], config: &ConstantConfig) -> Vec<Predicate> {
@@ -132,7 +133,15 @@ fn numeric_candidates(cells: &[CellValue], config: &ConstantConfig) -> Vec<Predi
 }
 
 fn text_candidates(cells: &[CellValue], config: &ConstantConfig) -> Vec<Predicate> {
-    let values: Vec<&str> = cells.iter().filter_map(CellValue::as_text).collect();
+    // Each distinct text once, in first-occurrence order: a repeat adds no
+    // constant (dedup is case-insensitive) and no prefix support (prefixes
+    // are counted over distinct values), so the constants are unchanged.
+    let mut seen = HashSet::new();
+    let values: Vec<&str> = cells
+        .iter()
+        .filter_map(CellValue::as_text)
+        .filter(|s| seen.insert(*s))
+        .collect();
     let constants = text_constants(&values, config);
     let mut out = Vec::with_capacity(constants.len() * 4);
     // Equals first, then StartsWith/EndsWith, then Contains: when two
@@ -187,55 +196,163 @@ fn date_candidates(cells: &[CellValue], config: &ConstantConfig) -> Vec<Predicat
 /// when `max_predicates` binds mid-stream.
 const EVAL_CHUNK: usize = 512;
 
+/// A column's distinct values, numbered in first-occurrence order, with
+/// what predicates read from a value computed once per value: the
+/// lowercased text and the four date parts.
+///
+/// A predicate's truth on a cell depends on the cell's value alone, so a
+/// signature over values expands to the signature over cells by reading
+/// bit `value_of[i]` for cell `i`. Every value has at least one cell, so
+/// that expansion is injective and preserves "holds on none" and "holds
+/// on all": the proper-subset filter, signature dedup and cap give the
+/// same answers on either side of it.
+struct ValueSpace {
+    /// `value_of[i]` — the id of cell `i`'s value.
+    value_of: Vec<u32>,
+    /// Number of distinct values (empty cells count as one).
+    len: usize,
+    /// `(id, number)` of each distinct number.
+    numbers: Vec<(u32, f64)>,
+    /// `(id, parts)` of each distinct date, its parts in [`DatePart::all`]
+    /// (declaration) order.
+    dates: Vec<(u32, [i64; 4])>,
+    /// `(id, lowercased text)` of each distinct text.
+    texts: Vec<(u32, String)>,
+}
+
+/// What makes two cells the same value: the exact text, the `f64` bit
+/// pattern (so `0.0` and `-0.0` stay apart) or the date.
+#[derive(PartialEq, Eq, Hash)]
+enum ValueKey<'a> {
+    Empty,
+    Text(&'a str),
+    Number(u64),
+    Date(cornet_table::Date),
+}
+
+impl ValueSpace {
+    fn new(cells: &[CellValue]) -> Self {
+        let mut ids: HashMap<ValueKey, u32> = HashMap::new();
+        let (mut numbers, mut dates, mut texts) = (Vec::new(), Vec::new(), Vec::new());
+        let value_of = cells
+            .iter()
+            .map(|cell| {
+                let key = match cell {
+                    CellValue::Empty => ValueKey::Empty,
+                    CellValue::Text(s) => ValueKey::Text(s),
+                    CellValue::Number(x) => ValueKey::Number(x.to_bits()),
+                    CellValue::Date(d) => ValueKey::Date(*d),
+                };
+                let next = ids.len() as u32;
+                *ids.entry(key).or_insert_with(|| {
+                    match cell {
+                        CellValue::Empty => {}
+                        CellValue::Text(s) => texts.push((next, s.to_lowercase())),
+                        CellValue::Number(x) => numbers.push((next, *x)),
+                        CellValue::Date(d) => {
+                            dates.push((next, DatePart::all().map(|p| p.extract(*d))))
+                        }
+                    }
+                    next
+                })
+            })
+            .collect();
+        ValueSpace {
+            value_of,
+            len: ids.len(),
+            numbers,
+            dates,
+            texts,
+        }
+    }
+
+    /// Bit `v` — does `predicate` hold on value `v`? Agrees with
+    /// [`Predicate::eval`] on every cell of that value: both go through
+    /// the same per-operator definitions, and values of another type (or
+    /// empty) never match.
+    fn signature(&self, predicate: &Predicate) -> BitVec {
+        let mut sig = BitVec::zeros(self.len);
+        let mut mark = |v: u32, holds: bool| {
+            if holds {
+                sig.set(v as usize, true);
+            }
+        };
+        match predicate {
+            Predicate::NumCmp { .. } | Predicate::NumBetween { .. } => {
+                for &(v, x) in &self.numbers {
+                    mark(v, predicate.eval_number(x));
+                }
+            }
+            Predicate::DateCmp { part, .. } | Predicate::DateBetween { part, .. } => {
+                for (v, parts) in &self.dates {
+                    mark(*v, predicate.eval_date_part(parts[*part as usize]));
+                }
+            }
+            Predicate::Text { op, pattern } => {
+                let pattern = pattern.to_lowercase();
+                for (v, text) in &self.texts {
+                    mark(*v, op.matches(text, &pattern));
+                }
+            }
+        }
+        sig
+    }
+}
+
 /// Keeps predicates holding on a non-empty proper subset of the column and
 /// records one representative per distinct signature (first generated wins —
 /// see the preference-order note in [`crate::constants`]).
 ///
-/// Signature evaluation — the `O(candidates × cells)` hot part — fans out
-/// over `cornet-pool` one [`EVAL_CHUNK`] at a time; `par_map`'s
-/// submission-order collection feeds the serial filter/dedup/cap pass in
-/// generation order, so the output is identical to the historical serial
-/// loop at every thread count.
+/// Every candidate is evaluated once per distinct value ([`ValueSpace`]),
+/// not once per cell, and only kept predicates are expanded to cell
+/// signatures. Evaluation fans out over `cornet-pool` one [`EVAL_CHUNK`] at
+/// a time; `par_map`'s submission-order collection feeds the serial
+/// filter/dedup/cap pass in generation order, so the output is identical
+/// to a serial per-cell loop at every thread count.
 fn filter_and_dedup(
     cells: &[CellValue],
     candidates: Vec<Predicate>,
     max_predicates: usize,
 ) -> PredicateSet {
     let n = cells.len();
+    let space = ValueSpace::new(cells);
+    let d = space.len;
     let mut predicates = Vec::new();
-    let mut signatures: Vec<BitVec> = Vec::new();
+    let mut value_signatures: Vec<BitVec> = Vec::new();
     let mut representatives = Vec::new();
-    let mut seen: std::collections::HashSet<BitVec> = std::collections::HashSet::new();
+    let mut seen: HashSet<BitVec> = HashSet::new();
     let mut pending = candidates.into_iter();
     'chunks: loop {
         let chunk: Vec<Predicate> = pending.by_ref().take(EVAL_CHUNK).collect();
         if chunk.is_empty() {
             break;
         }
-        let sigs: Vec<BitVec> = cornet_pool::par_map(chunk.len(), |p| {
-            let mut sig = BitVec::zeros(n);
-            for (i, cell) in cells.iter().enumerate() {
-                if chunk[p].eval(cell) {
-                    sig.set(i, true);
-                }
-            }
-            sig
-        });
+        let sigs: Vec<BitVec> = cornet_pool::par_map(chunk.len(), |p| space.signature(&chunk[p]));
         for (pred, sig) in chunk.into_iter().zip(sigs) {
             if max_predicates != 0 && predicates.len() >= max_predicates {
                 break 'chunks;
             }
             let ones = sig.count_ones();
-            if ones == 0 || ones == n {
+            if ones == 0 || ones == d {
                 continue; // not a non-empty proper subset
             }
             if seen.insert(sig.clone()) {
                 representatives.push(predicates.len());
             }
             predicates.push(pred);
-            signatures.push(sig);
+            value_signatures.push(sig);
         }
     }
+    // First-occurrence numbering makes `value_of` the identity when every
+    // value is distinct.
+    let signatures = if d == n {
+        value_signatures
+    } else {
+        value_signatures
+            .iter()
+            .map(|sig| sig.gather(&space.value_of))
+            .collect()
+    };
     PredicateSet {
         predicates,
         signatures,
@@ -361,6 +478,36 @@ mod tests {
         let cells = parse_cells(&["same", "same", "same"]);
         let set = generate_predicates(&cells, &GenConfig::default());
         assert!(set.is_empty());
+    }
+
+    #[test]
+    fn text_candidates_read_each_distinct_text_once() {
+        // Exact repeats, case variants and whitespace variants: the
+        // constants must be those of every cell's text, in order, also
+        // when the cap binds.
+        let mut cells = parse_cells(&[
+            "RW-187", "rw-187", "RW-187", "RS-762", "RW-159", "RS-762", "rw-159", "TW-224-T",
+        ]);
+        cells.push(CellValue::from(" RW-187"));
+        cells.push(CellValue::from("RW-187"));
+        let all: Vec<&str> = cells.iter().filter_map(CellValue::as_text).collect();
+        for max_text_constants in [512, 5] {
+            let config = ConstantConfig {
+                max_text_constants,
+                ..ConstantConfig::default()
+            };
+            let patterns: Vec<String> = text_candidates(&cells, &config)
+                .into_iter()
+                .filter_map(|p| match p {
+                    Predicate::Text {
+                        op: TextOp::Equals,
+                        pattern,
+                    } => Some(pattern),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(patterns, text_constants(&all, &config));
+        }
     }
 
     #[test]

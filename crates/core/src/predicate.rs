@@ -69,6 +69,19 @@ pub enum TextOp {
 }
 
 impl TextOp {
+    /// Applies the operator to a cell text and a pattern that were both
+    /// lowercased whole with `str::to_lowercase`, which is where the
+    /// case-insensitivity comes from. The operator's only definition,
+    /// shared by [`Predicate::eval`] and predicate generation.
+    pub(crate) fn matches(self, lowered: &str, lowered_pattern: &str) -> bool {
+        match self {
+            TextOp::Equals => lowered == lowered_pattern,
+            TextOp::Contains => lowered.contains(lowered_pattern),
+            TextOp::StartsWith => lowered.starts_with(lowered_pattern),
+            TextOp::EndsWith => lowered.ends_with(lowered_pattern),
+        }
+    }
+
     /// Surface name used in rule display.
     pub fn name(self) -> &'static str {
         match self {
@@ -219,38 +232,35 @@ impl Predicate {
     /// empty cells) never match.
     pub fn eval(&self, cell: &CellValue) -> bool {
         match self {
-            Predicate::NumCmp { op, n } => match cell.as_number() {
-                Some(v) => op.apply(v, *n),
-                None => false,
-            },
-            Predicate::NumBetween { lo, hi } => match cell.as_number() {
-                Some(v) => v >= *lo && v <= *hi,
-                None => false,
-            },
-            Predicate::DateCmp { op, part, n } => match cell.as_date() {
-                Some(d) => op.apply(part.extract(d), *n),
-                None => false,
-            },
-            Predicate::DateBetween { part, lo, hi } => match cell.as_date() {
-                Some(d) => {
-                    let v = part.extract(d);
-                    v >= *lo && v <= *hi
-                }
-                None => false,
-            },
-            Predicate::Text { op, pattern } => match cell.as_text() {
-                Some(s) => {
-                    let s = s.to_lowercase();
-                    let p = pattern.to_lowercase();
-                    match op {
-                        TextOp::Equals => s == p,
-                        TextOp::Contains => s.contains(&p),
-                        TextOp::StartsWith => s.starts_with(&p),
-                        TextOp::EndsWith => s.ends_with(&p),
-                    }
-                }
-                None => false,
-            },
+            Predicate::NumCmp { .. } | Predicate::NumBetween { .. } => {
+                cell.as_number().is_some_and(|v| self.eval_number(v))
+            }
+            Predicate::DateCmp { part, .. } | Predicate::DateBetween { part, .. } => cell
+                .as_date()
+                .is_some_and(|d| self.eval_date_part(part.extract(d))),
+            Predicate::Text { op, pattern } => cell
+                .as_text()
+                .is_some_and(|s| op.matches(&s.to_lowercase(), &pattern.to_lowercase())),
+        }
+    }
+
+    /// Evaluates a numeric predicate on a number; `false` for predicates of
+    /// any other type.
+    pub(crate) fn eval_number(&self, v: f64) -> bool {
+        match *self {
+            Predicate::NumCmp { op, n } => op.apply(v, n),
+            Predicate::NumBetween { lo, hi } => v >= lo && v <= hi,
+            _ => false,
+        }
+    }
+
+    /// Evaluates a datetime predicate on the value of its date part
+    /// (`part.extract(date)`); `false` for predicates of any other type.
+    pub(crate) fn eval_date_part(&self, v: i64) -> bool {
+        match *self {
+            Predicate::DateCmp { op, n, .. } => op.apply(v, n),
+            Predicate::DateBetween { lo, hi, .. } => v >= lo && v <= hi,
+            _ => false,
         }
     }
 

@@ -191,6 +191,26 @@ impl BitVec {
         self.iter().collect()
     }
 
+    /// Returns the vector whose bit `i` is bit `index[i]` of `self`, with
+    /// length `index.len()`. Each output word is assembled from 64 lookups
+    /// and written once.
+    pub fn gather(&self, index: &[u32]) -> BitVec {
+        let words = index
+            .chunks(64)
+            .map(|chunk| {
+                chunk.iter().enumerate().fold(0u64, |word, (b, &src)| {
+                    let src = src as usize;
+                    debug_assert!(src < self.len);
+                    word | ((self.words[src / 64] >> (src % 64)) & 1) << b
+                })
+            })
+            .collect();
+        BitVec {
+            len: index.len(),
+            words,
+        }
+    }
+
     fn mask_tail(&mut self) {
         let tail = self.len % 64;
         if tail != 0 {
@@ -294,6 +314,34 @@ mod tests {
         x.xor_assign(&b);
         assert_eq!(x.iter_ones().collect::<Vec<_>>(), vec![0, 1, 3]);
         assert_eq!(a.and_count(&b), 1);
+    }
+
+    #[test]
+    fn gather_matches_per_bit_lookup() {
+        // A 130-bit source spans three words; indices start on its tail
+        // bit and word edges, repeat one, then run in scrambled order.
+        let src = BitVec::from_indices(130, &[0, 5, 63, 64, 100, 127, 129]);
+        for len in [0usize, 1, 63, 64, 65, 129] {
+            let index: Vec<u32> = [129, 0, 64, 63, 129, 128]
+                .into_iter()
+                .chain((0..).map(|i| (i * 37 + 11) % 130))
+                .take(len)
+                .collect();
+            let gathered = src.gather(&index);
+            assert_eq!(gathered.len(), len);
+            let expected: Vec<bool> = index.iter().map(|&j| src.get(j as usize)).collect();
+            assert_eq!(gathered.to_bools(), expected, "len {len}");
+            // Bits past `len` in the last word stay clear, so equality,
+            // hashing and popcounts agree with a vector built bit by bit.
+            assert_eq!(gathered, BitVec::from_bools(&expected), "len {len}");
+            assert_eq!(
+                gathered.count_ones(),
+                expected.iter().filter(|&&b| b).count()
+            );
+        }
+        // The identity index reproduces the source.
+        let identity: Vec<u32> = (0..130).collect();
+        assert_eq!(src.gather(&identity), src);
     }
 
     #[test]
